@@ -23,7 +23,7 @@ rebuilds when a sampled precision probe drops below a threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,41 +33,8 @@ from repro.core.dispatch import build_cg
 from repro.core.precision import measure_precision
 from repro.core.twophase import TwoPhaseResult, two_phase
 from repro.graph.csr import Graph
-from repro.graph.mutate import add_edges, remove_edges
+from repro.graph.mutate import key_sorted, splice_edges
 from repro.queries.base import QuerySpec
-
-
-def _membership_mask(g: Graph, sub: Graph) -> np.ndarray:
-    """Mask over ``g``'s edge array marking the edges present in ``sub``.
-
-    Multiset-aware: if churn left ``g`` with parallel duplicates of a
-    ``sub`` edge, only as many copies are marked as ``sub`` holds, so
-    ``mask.sum() == sub.num_edges`` stays true.
-    """
-
-    def rows(x: Graph) -> np.ndarray:
-        src = np.repeat(
-            np.arange(x.num_vertices, dtype=np.int64), np.diff(x.offsets)
-        )
-        w = x.weights if x.weights is not None else np.zeros(x.num_edges)
-        out = np.empty(
-            x.num_edges, dtype=[("u", "i8"), ("v", "i8"), ("w", "f8")]
-        )
-        out["u"], out["v"], out["w"] = src, x.dst, w
-        return out
-
-    g_rows = rows(g)
-    order = np.argsort(g_rows, kind="stable")
-    gs = g_rows[order]
-    occurrence = np.arange(len(gs)) - np.searchsorted(gs, gs, side="left")
-    sub_sorted = np.sort(rows(sub))
-    copies_in_sub = (
-        np.searchsorted(sub_sorted, gs, side="right")
-        - np.searchsorted(sub_sorted, gs, side="left")
-    )
-    mask = np.empty(len(gs), dtype=bool)
-    mask[order] = occurrence < copies_in_sub
-    return mask
 
 
 @dataclass
@@ -98,6 +65,9 @@ class EvolvingCoreGraph:
         self.rebuild_below_precision = rebuild_below_precision
         self.probe_sources = probe_sources
         self.probe_seed = probe_seed
+        if cg is None:
+            # Splicing needs edges in key order (built graphs have it).
+            g = key_sorted(g)
         self.graph = g
         # ``cg`` lets recovery re-adopt a persisted proxy (snapshot +
         # WAL replay) without re-running Algorithm 1/2; fresh
@@ -127,10 +97,11 @@ class EvolvingCoreGraph:
         doesn't), so the triangle pass is disabled until the next rebuild.
         """
         edges = list(edges)
-        self.graph = add_edges(self.graph, edges)
+        self.graph, inserted_at, _ = splice_edges(self.graph, inserts=edges)
         self.stats.inserted_edges += len(edges)
         if edges:
-            self._realign_mask(self.cg.graph)
+            mask = np.insert(self.cg.edge_mask, inserted_at, False)
+            self._rebind(self.cg.graph, mask)
             self._triangle_safe = False
 
     def delete_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
@@ -140,29 +111,21 @@ class EvolvingCoreGraph:
         until the next rebuild.
         """
         pairs = list(pairs)
-        self.graph, removed_full = remove_edges(self.graph, pairs)
-        cg_graph, removed_cg = remove_edges(self.cg.graph, pairs)
-        if removed_full.any() or removed_cg.any():
-            self._realign_mask(cg_graph)
-        self.stats.deleted_edges += int(removed_full.sum())
+        self.graph, _, removed_at = splice_edges(self.graph, deletes=pairs)
+        if removed_at.size:
+            cg_graph, _, _ = splice_edges(self.cg.graph, deletes=pairs)
+            self._rebind(cg_graph, np.delete(self.cg.edge_mask, removed_at))
+        self.stats.deleted_edges += int(removed_at.size)
         if pairs:
             self._triangle_safe = False
 
-    def _realign_mask(self, cg_graph: Graph) -> None:
-        """Rebind the CG to the current graph with a freshly computed mask.
-
-        ``add_edges``/``remove_edges`` re-index the CSR edge arrays, so
-        the build-time ``edge_mask`` no longer addresses this graph's
-        edges; recompute it as membership of the surviving CG edges.
-        """
-        self.cg = CoreGraph(
-            graph=cg_graph,
-            edge_mask=_membership_mask(self.graph, cg_graph),
-            spec_name=self.cg.spec_name,
-            hubs=self.cg.hubs,
-            hub_data=self.cg.hub_data,
-            connectivity_edges=self.cg.connectivity_edges,
+    def _rebind(self, cg_graph: Graph, edge_mask: np.ndarray) -> None:
+        """Rebind the CG to the current graph, with ``edge_mask`` spliced
+        exactly as the graph's edge arrays were."""
+        self.cg = replace(
+            self.cg, graph=cg_graph, edge_mask=edge_mask,
             source_num_edges=self.graph.num_edges,
+            growth=None, forward_selection_counts=None,
         )
 
     # ------------------------------------------------------------------
@@ -212,13 +175,9 @@ class EvolvingCoreGraph:
         queries; ``progress(done, total)`` is invoked after each hub so a
         supervised rebuilder can checkpoint between hubs.
         """
-        kwargs = {}
-        if budget is not None:
-            kwargs["budget"] = budget
-        if progress is not None:
-            kwargs["progress"] = progress
         self.cg = build_cg(
-            self.graph, self.spec, num_hubs=self.num_hubs, **kwargs
+            self.graph, self.spec, num_hubs=self.num_hubs,
+            budget=budget, progress=progress,
         )
         self.stats.rebuilds += 1
         self._triangle_safe = True

@@ -21,21 +21,32 @@ certificates die on any churn). This module adds the serving discipline:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.coregraph import CoreGraph
-from repro.core.evolving import EvolvingCoreGraph, _membership_mask
+from repro.core.evolving import EvolvingCoreGraph
 from repro.evolve.epoch import Epoch, EpochStore, make_epoch
 from repro.evolve.snapshot import LoadedSnapshot, SnapshotStore
 from repro.evolve.wal import WalError, WalWriter
 from repro.graph.csr import Graph
-from repro.graph.mutate import remove_edges
+from repro.graph.mutate import match_edges
+from repro.graph.transform import edge_subgraph
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.obs.spans import span
 from repro.queries.base import QuerySpec
 from repro.resilience.faults import fault_point
+
+
+def _successor(base: Epoch, graph: Graph, proxy: CoreGraph, **changes) -> Epoch:
+    """The epoch after ``base``: its bookkeeping carried over, then
+    ``changes`` applied."""
+    return replace(
+        base, number=base.number + 1, graph=graph, proxy=proxy,
+        fingerprint=graph.fingerprint(), **changes,
+    )
 
 
 class EpochMaintainer:
@@ -65,20 +76,20 @@ class EpochMaintainer:
         self.wal: Optional[WalWriter] = None
         self.snapshots: Optional[SnapshotStore] = None
         self.snapshot_every = 0
+        # Recovery re-adopts a persisted (graph, proxy) pair and resumes
+        # epoch numbering where the snapshot left it. The WAL is attached
+        # *after* the tail replay (see attach_wal), so replayed records
+        # are never re-journaled.
+        self._ev = EvolvingCoreGraph(
+            g if _resume is None else _resume.graph,
+            spec,
+            num_hubs=num_hubs,
+            rebuild_below_precision=rebuild_below_precision,
+            probe_sources=probe_sources,
+            probe_seed=probe_seed,
+            cg=None if _resume is None else _resume.proxy,
+        )
         if _resume is not None:
-            # Recovery path: re-adopt a persisted (graph, proxy) pair and
-            # resume epoch numbering where the snapshot left it. The WAL
-            # is attached *after* the tail replay (see attach_wal), so
-            # replayed records are never re-journaled.
-            self._ev = EvolvingCoreGraph(
-                _resume.graph,
-                spec,
-                num_hubs=num_hubs,
-                rebuild_below_precision=rebuild_below_precision,
-                probe_sources=probe_sources,
-                probe_seed=probe_seed,
-                cg=_resume.proxy,
-            )
             self._ev._triangle_safe = _resume.triangle_safe
             initial = Epoch(
                 number=_resume.epoch,
@@ -92,14 +103,6 @@ class EpochMaintainer:
                 rebuilt_from=_resume.rebuilt_from,
             )
         else:
-            self._ev = EvolvingCoreGraph(
-                g,
-                spec,
-                num_hubs=num_hubs,
-                rebuild_below_precision=rebuild_below_precision,
-                probe_sources=probe_sources,
-                probe_seed=probe_seed,
-            )
             initial = make_epoch(0, self._ev.graph, self._ev.cg)
         self._batches = 0
         self.store = EpochStore(initial)
@@ -169,8 +172,7 @@ class EpochMaintainer:
         journals a best-effort ``abort`` record, so recovery rolls the
         batch back instead of resurrecting it.
         """
-        inserts = list(inserts)
-        deletes = list(deletes)
+        inserts, deletes = list(inserts), list(deletes)
         with self._lock:
             ev = self._ev
             saved = (
@@ -182,27 +184,8 @@ class EpochMaintainer:
             try:
                 with span("evolve.apply", epoch=base.number + 1,
                           inserts=len(inserts), deletes=len(deletes)):
-                    if inserts:
-                        ev.insert_edges(inserts)
-                    # Deliberately inside the writer lock: the chaos
-                    # model kills mid-batch, and the except-branch below
-                    # must restore state before anyone else writes.
-                    fault_point("evolve.apply")  # repro: noqa RC104 — chaos site
-                    if deletes:
-                        ev.delete_edges(deletes)
-                    deleted_now = (
-                        ev.stats.deleted_edges - saved[4]
-                    )
-                    epoch = make_epoch(
-                        base.number + 1,
-                        ev.graph,
-                        ev.cg,
-                        triangle_safe=ev.triangle_safe,
-                        inserted_edges=base.inserted_edges + len(inserts),
-                        deleted_edges=base.deleted_edges + deleted_now,
-                        probe_precision=base.probe_precision,
-                        rebuilt_from=base.rebuilt_from,
-                    )
+                    epoch = self._splice(base, inserts, deletes, chaos=True)
+                    deleted_now = epoch.deleted_edges - base.deleted_edges
                     if self.wal is not None:
                         self.wal.append(
                             "batch", epoch.number,
@@ -233,6 +216,29 @@ class EpochMaintainer:
                 "num_edges": epoch.graph.num_edges,
             })
         return epoch
+
+    def _splice(
+        self, base: Epoch, inserts: list, deletes: list, chaos: bool
+    ) -> Epoch:
+        """Apply one batch to the evolving state; the epoch it yields."""
+        ev = self._ev
+        deleted_before = ev.stats.deleted_edges
+        if inserts:
+            ev.insert_edges(inserts)
+        if chaos:
+            # Deliberately inside the writer lock: the chaos model kills
+            # mid-batch, and apply's except-branch must restore state
+            # before anyone else writes.
+            fault_point("evolve.apply")  # repro: noqa RC104 — chaos site
+        if deletes:
+            ev.delete_edges(deletes)
+        return _successor(
+            base, ev.graph, ev.cg, triangle_safe=ev.triangle_safe,
+            inserted_edges=base.inserted_edges + len(inserts),
+            deleted_edges=(
+                base.deleted_edges + ev.stats.deleted_edges - deleted_before
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Durability plumbing
@@ -289,6 +295,16 @@ class EpochMaintainer:
     # ------------------------------------------------------------------
     # Recovery replay (no WAL writes: the records already exist)
     # ------------------------------------------------------------------
+    def _replay_base(self, epoch_number: int) -> Epoch:
+        """The current epoch, which a replayed record must directly follow."""
+        base = self.store.current()
+        if epoch_number != base.number + 1:
+            raise ValueError(
+                f"replay out of order: at epoch {base.number}, "
+                f"record says {epoch_number}"
+            )
+        return base
+
     def replay_batch(
         self,
         epoch_number: int,
@@ -297,32 +313,11 @@ class EpochMaintainer:
     ) -> Epoch:
         """Re-apply one logged mutation batch during recovery."""
         with self._lock:
-            ev = self._ev
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
-            inserts = [tuple(e) for e in inserts]
-            deletes = [(int(u), int(v)) for u, v in deletes]
-            deleted_before = ev.stats.deleted_edges
-            if inserts:
-                ev.insert_edges(inserts)
-            if deletes:
-                ev.delete_edges(deletes)
-            epoch = make_epoch(
-                epoch_number,
-                ev.graph,
-                ev.cg,
-                triangle_safe=ev.triangle_safe,
-                inserted_edges=base.inserted_edges + len(inserts),
-                deleted_edges=(
-                    base.deleted_edges
-                    + ev.stats.deleted_edges - deleted_before
-                ),
-                probe_precision=base.probe_precision,
-                rebuilt_from=base.rebuilt_from,
+            epoch = self._splice(
+                self._replay_base(epoch_number),
+                [tuple(e) for e in inserts],
+                [(int(u), int(v)) for u, v in deletes],
+                chaos=False,
             )
             self.store.swap(epoch)
             self._batches += 1
@@ -344,23 +339,12 @@ class EpochMaintainer:
 
         with self._lock:
             ev = self._ev
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
+            base = self._replay_base(epoch_number)
             ev.cg = build_cg(ev.graph, self.spec, num_hubs=ev.num_hubs)
             ev._triangle_safe = bool(triangle_safe)
-            epoch = make_epoch(
-                epoch_number,
-                ev.graph,
-                ev.cg,
-                triangle_safe=bool(triangle_safe),
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=None,
-                rebuilt_from=built_on,
+            epoch = _successor(
+                base, ev.graph, ev.cg, triangle_safe=bool(triangle_safe),
+                probe_precision=None, rebuilt_from=built_on,
             )
             self.store.swap(epoch)
             ev.stats.rebuilds += 1
@@ -371,21 +355,9 @@ class EpochMaintainer:
     ) -> Epoch:
         """Re-publish a logged probe-refresh epoch during recovery."""
         with self._lock:
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
-            epoch = make_epoch(
-                epoch_number,
-                base.graph,
-                base.proxy,
-                triangle_safe=base.triangle_safe,
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=precision,
-                rebuilt_from=base.rebuilt_from,
+            base = self._replay_base(epoch_number)
+            epoch = _successor(
+                base, base.graph, base.proxy, probe_precision=precision
             )
             self.store.swap(epoch)
         return epoch
@@ -403,15 +375,9 @@ class EpochMaintainer:
             precision = self._ev.probe_precision()
             current = self.store.current()
             if current.probe_precision != precision:
-                refreshed = make_epoch(
-                    current.number + 1,
-                    current.graph,
-                    current.proxy,
-                    triangle_safe=current.triangle_safe,
-                    inserted_edges=current.inserted_edges,
-                    deleted_edges=current.deleted_edges,
+                refreshed = _successor(
+                    current, current.graph, current.proxy,
                     probe_precision=precision,
-                    rebuilt_from=current.rebuilt_from,
                 )
                 if self.wal is not None:
                     # Probe refreshes consume an epoch number, so they
@@ -469,21 +435,12 @@ class EpochMaintainer:
             ev = self._ev
             base = self.store.current()
             clean = ev.graph.fingerprint() == snapshot.fingerprint
-            if clean:
-                installed = proxy
-            else:
-                installed = self._rebase(ev.graph, proxy)
+            installed = proxy if clean else self._rebase(ev.graph, proxy)
             ev.cg = installed
             ev._triangle_safe = clean
-            epoch = make_epoch(
-                base.number + 1,
-                ev.graph,
-                installed,
-                triangle_safe=clean,
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=None,
-                rebuilt_from=snapshot.number,
+            epoch = _successor(
+                base, ev.graph, installed, triangle_safe=clean,
+                probe_precision=None, rebuilt_from=snapshot.number,
             )
             if self.wal is not None:
                 # The install marker tells recovery which replayed
@@ -519,25 +476,18 @@ class EpochMaintainer:
 
         Inserts since the snapshot only grow the graph (the CG stays a
         subgraph); deletes may have removed CG edges, which must be
-        dropped. Hub values are stale either way, so they are discarded.
+        dropped — and so must a CG edge deleted and re-inserted with
+        another weight, which is a different edge. Hub values are stale
+        either way, so they are discarded.
         """
-        missing: List[Tuple[int, int]] = []
-        seen = set()
-        for u, v, _ in proxy.graph.iter_edges():
-            if (u, v) not in seen and not current.has_edge(u, v):
-                seen.add((u, v))
-                missing.append((u, v))
+        edge_mask, kept = match_edges(current, proxy.graph)
         cg_graph = proxy.graph
-        if missing:
-            cg_graph, _ = remove_edges(cg_graph, missing)
-        return CoreGraph(
-            graph=cg_graph,
-            edge_mask=_membership_mask(current, cg_graph),
-            spec_name=proxy.spec_name,
-            hubs=proxy.hubs,
-            hub_data=[],
-            connectivity_edges=proxy.connectivity_edges,
+        if not kept.all():
+            cg_graph = edge_subgraph(cg_graph, kept)
+        return replace(
+            proxy, graph=cg_graph, edge_mask=edge_mask, hub_data=[],
             source_num_edges=current.num_edges,
+            growth=None, forward_selection_counts=None,
         )
 
     def rebuild(self, budget=None, progress=None) -> Epoch:

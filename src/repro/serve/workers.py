@@ -14,6 +14,8 @@ threads — tests use this to fill the admission queue deterministically.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import threading
 from typing import TYPE_CHECKING, List
 
@@ -22,6 +24,34 @@ from repro.resilience.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serve.service import QueryService
+
+# glibc mallopt parameters, and the mmap threshold at which glibc's own
+# dynamic rule stops raising it (the trim threshold follows at twice it).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def keep_temporaries_on_heap() -> None:
+    """Serve a query's large numpy temporaries from the heap (glibc only).
+
+    By default glibc maps every block over 128 KiB afresh and returns a
+    freed heap top to the OS, so each query's temporaries (a few MB on
+    the FR stand-in) page-fault anew: ~1.3k faults per query, about twice
+    its latency. glibc raises both limits by itself once the process frees
+    one large block, which made query cost depend on whatever unrelated
+    work ran earlier. Pinning them where that rule tops out keeps it
+    stable. A no-op on other C libraries.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 class WorkerPool:
@@ -44,6 +74,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        keep_temporaries_on_heap()
         for wid in range(self.num_workers):
             t = threading.Thread(
                 target=self._supervise,

@@ -2,8 +2,13 @@
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.checks.sanitize import probes as san_probes
+from repro.checks.sanitize.runtime import enabled as sanitizer_on
+from repro.core.twophase import two_phase
+from repro.engines.frontier import evaluate_query
 from repro.evolve import RebuildSupervisor, next_batch
 from repro.resilience.budget import Budget
 from repro.resilience.faults import injected
@@ -109,3 +114,42 @@ class TestSupervisedRebuild:
                 sup.start()
         finally:
             sup.stop()
+
+
+class TestRebaseAcrossChurn:
+    def test_reweighted_cg_edge_is_dropped_on_install(self, maintainer):
+        """A CG edge deleted and re-inserted with another weight while the
+        rebuild runs is a different edge: the installed proxy must not
+        keep the stale-weight copy (that breaks ``CG ⊆ G`` and with it
+        the exactness of the core phase)."""
+        snapshot = maintainer.rebuild_snapshot()
+        proxy = maintainer.build_proxy(snapshot)
+        u = int(proxy.graph.edge_sources()[0])
+        v = int(proxy.graph.dst[0])
+        w = float(proxy.graph.weights[0])
+        maintainer.apply(deletes=[(u, v)])
+        maintainer.apply(inserts=[(u, v, w + 50.0)])
+        epoch = maintainer.install_rebuild(snapshot, proxy)
+
+        cg = epoch.proxy
+        assert int(cg.edge_mask.sum()) == cg.num_edges == proxy.num_edges - 1
+        assert not epoch.triangle_safe
+        with sanitizer_on():
+            san_probes.check_cg_containment(epoch.graph, cg, "test.rebase")
+        for source in range(epoch.graph.num_vertices):
+            got = two_phase(epoch.graph, cg, maintainer.spec, source)
+            truth = evaluate_query(epoch.graph, maintainer.spec, source)
+            assert np.array_equal(got.values, truth), source
+
+    def test_untouched_cg_edges_survive_with_their_positions(self, maintainer):
+        snapshot = maintainer.rebuild_snapshot()
+        proxy = maintainer.build_proxy(snapshot)
+        _churn(maintainer, steps=3)
+        epoch = maintainer.install_rebuild(snapshot, proxy)
+        g, cg = epoch.graph, epoch.proxy
+        assert int(cg.edge_mask.sum()) == cg.num_edges
+        keys = g.edge_sources()[cg.edge_mask] * g.num_vertices
+        keys += g.dst[cg.edge_mask]
+        cg_keys = cg.graph.edge_sources() * g.num_vertices + cg.graph.dst
+        assert np.array_equal(keys, cg_keys)
+        assert np.array_equal(g.weights[cg.edge_mask], cg.graph.weights)

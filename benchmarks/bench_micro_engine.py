@@ -7,7 +7,7 @@ characterize the evaluation substrate all experiments share.
 import pytest
 
 from repro.engines.frontier import evaluate_query
-from repro.harness.cache import get_cg, get_graph, get_sources
+from repro.harness.cache import get_graph, get_sources
 from repro.queries.registry import get_spec
 
 QUERIES = ("SSSP", "SSNP", "Viterbi", "SSWP", "REACH", "WCC")
@@ -45,24 +45,3 @@ def test_delta_stepping_throughput_tt(benchmark):
     source = int(get_sources("TT", 1)[0])
     benchmark(delta_stepping, g, get_spec("SSSP"), source)
 
-
-def test_batch_of_8_throughput_tt(benchmark):
-    from repro.engines.batch import evaluate_batch
-
-    g = get_graph("TT")
-    sources = [int(s) for s in get_sources("TT", 8)]
-    vals = benchmark(evaluate_batch, g, get_spec("SSSP"), sources)
-    assert vals.shape[0] == len(sources)
-
-
-def test_two_phase_batch_of_8_tt(benchmark):
-    from repro.core.batch2phase import two_phase_batch
-
-    g = get_graph("TT")
-    cg = get_cg("TT", get_spec("SSSP"))
-    sources = [int(s) for s in get_sources("TT", 8)]
-    res = benchmark.pedantic(
-        two_phase_batch, args=(g, cg, get_spec("SSSP"), sources),
-        rounds=3, iterations=1,
-    )
-    assert res.values.shape[0] == len(sources)

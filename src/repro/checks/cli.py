@@ -158,7 +158,6 @@ def run_sanitize_smoke(sources: Sequence[int] = (0,)) -> int:
     from repro.core.unweighted import build_unweighted_core_graph
     from repro.datasets.example import example_graph
     from repro.engines.async_engine import async_evaluate
-    from repro.engines.batch import evaluate_batch
     from repro.engines.delta_stepping import delta_stepping
     from repro.engines.frontier import evaluate_query
     from repro.engines.pull import direction_optimizing_evaluate
@@ -195,9 +194,8 @@ def run_sanitize_smoke(sources: Sequence[int] = (0,)) -> int:
                 async_evaluate(g, ALL_SPECS[0], source=src, chunk_size=2)
                 scalar_evaluate(g, ALL_SPECS[0], source=src)
                 direction_optimizing_evaluate(g, ALL_SPECS[0], source=src)
-                evaluate_batch(g, ALL_SPECS[0], [src])
                 delta_stepping(g, ALL_SPECS[0], source=src)
-                checks += 5
+                checks += 4
     except SanitizerViolation as exc:
         print(f"check: sanitizer violation: {exc}")
         return 1

@@ -80,6 +80,10 @@ def _call_named(call: ast.Call, *names: str) -> bool:
 # RC001 — engine iteration loops must poll their Budget
 # ---------------------------------------------------------------------------
 
+#: Calls that make a ``while`` loop an engine round loop: the frontier
+#: gather and the shared relax kernel of :mod:`repro.engines.frontier`.
+_KERNEL_CALLS = ("ragged_gather", "push_round", "relax_edges")
+
 
 class RC001BudgetPoll(Rule):
     """An engine loop that never ticks a Budget can run away unbounded.
@@ -87,7 +91,8 @@ class RC001BudgetPoll(Rule):
     The resilience contract (PR 3) is that every evaluator enforces
     deadline/iteration/frontier limits at iteration boundaries. A loop is
     recognized as an engine iteration loop when it gathers frontier edges
-    (``ragged_gather``) or declares a fault site (``fault_point``); it must
+    (``ragged_gather``), runs the shared round kernel (``push_round`` /
+    ``relax_edges``) or declares a fault site (``fault_point``); it must
     then contain a ``budget.tick(...)`` (or ``check_deadline``) call.
     """
 
@@ -100,7 +105,7 @@ class RC001BudgetPoll(Rule):
             if not isinstance(node, ast.While):
                 continue
             is_engine_loop = any(
-                _call_named(c, "ragged_gather", "fault_point")
+                _call_named(c, *_KERNEL_CALLS, "fault_point")
                 for c in _calls(node)
             )
             if not is_engine_loop:
@@ -666,14 +671,15 @@ class RC010FaultSite(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            # An engine loop gathers edges or ticks a budget; a serve
-            # worker loop pops requests or runs two_phase directly; an
-            # obs.live background loop samples stacks or serves scrapes;
-            # the evolve supervisor's tick loop attempts rebuilds.
+            # An engine loop gathers edges, runs the round kernel or ticks
+            # a budget; a serve worker loop pops requests or runs
+            # two_phase directly; an obs.live background loop samples
+            # stacks or serves scrapes; the evolve supervisor's tick loop
+            # attempts rebuilds.
             has_engine_loop = any(
                 isinstance(inner, ast.While)
                 and any(
-                    _call_named(c, "ragged_gather", "tick", "pop",
+                    _call_named(c, *_KERNEL_CALLS, "tick", "pop",
                                 "two_phase", "_sample_once",
                                 "handle_request", "_attempt")
                     for c in _calls(inner)

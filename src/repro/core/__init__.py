@@ -12,15 +12,12 @@ from repro.core.index import CoreGraphIndex
 from repro.core.advisor import CoreGraphAdvisor
 from repro.core.evolving import EvolvingCoreGraph
 from repro.core.resultstore import QueryResultStore
-from repro.core.batch2phase import two_phase_batch, BatchTwoPhaseResult
 
 __all__ = [
     "CoreGraphIndex",
     "CoreGraphAdvisor",
     "EvolvingCoreGraph",
     "QueryResultStore",
-    "two_phase_batch",
-    "BatchTwoPhaseResult",
     "CoreGraph",
     "HubData",
     "build_core_graph",

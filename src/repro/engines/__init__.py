@@ -9,7 +9,6 @@ from repro.engines.frontier import (
     is_fixed_point,
 )
 from repro.engines.scalar import scalar_evaluate
-from repro.engines.batch import evaluate_batch
 from repro.engines.async_engine import async_evaluate
 from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.delta_stepping import delta_stepping
@@ -24,7 +23,6 @@ __all__ = [
     "run_push",
     "ragged_gather",
     "scalar_evaluate",
-    "evaluate_batch",
     "async_evaluate",
     "direction_optimizing_evaluate",
 ]

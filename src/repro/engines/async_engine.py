@@ -18,13 +18,14 @@ import numpy as np
 
 from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
-from repro.engines.frontier import ragged_gather, symmetric_view
-from repro.engines.stats import IterationInfo, RunStats
+from repro.engines.frontier import (
+    Round, drive, ragged_gather, record_rounds, relax_edges, symmetric_view,
+)
+from repro.engines.stats import RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import Checkpoint, Checkpointer
-from repro.resilience.faults import fault_point
 
 
 def async_evaluate(
@@ -54,55 +55,36 @@ def async_evaluate(
         iteration = resume.iteration
     else:
         vals = spec.initial_values(n, source)
-        frontier = np.unique(spec.initial_frontier(n, source))
+        frontier = spec.initial_frontier(n, source)
         iteration = 0
     in_next = np.zeros(n, dtype=bool)
-    if san_runtime._enabled:
-        san_probes.check_csr(work, "engine.async")
-    while frontier.size:
-        fault_point("engine.async.round")
-        if budget is not None:
-            budget.tick("engine.async", frontier_bytes=frontier.nbytes)
+
+    def step(frontier: np.ndarray) -> Round:
         # Round-entry snapshot for the lost-update shadow replay.
         round_start = vals.copy() if san_runtime._enabled else None
-        edges_scanned = 0
-        updates = 0
-        in_next[:] = False
+        edges_scanned = updates = 0
         for lo in range(0, frontier.size, chunk_size):
-            chunk = frontier[lo:lo + chunk_size]
-            edge_idx, u = ragged_gather(work.offsets, chunk)
-            if edge_idx.size == 0:
-                continue
-            v = work.dst[edge_idx]
-            old = vals[v]
-            # Reads vals *after* earlier chunks' writes: immediate visibility.
-            cand = spec.propagate(vals[u], weights[edge_idx])
-            improving = spec.better(cand, old)
-            updates += int(np.count_nonzero(improving))
-            spec.reduce_at(vals, v, cand)
-            changed = v[spec.better(vals[v], old)]
-            in_next[changed] = True
-            edges_scanned += int(edge_idx.size)
-        new_frontier = np.flatnonzero(in_next)
-        if san_runtime._enabled:
-            san_probes.monotone_watchdog(
-                spec, round_start, vals, "engine.async"
+            edge_idx, u = ragged_gather(
+                work.offsets, frontier[lo:lo + chunk_size]
             )
+            v = work.dst[edge_idx]
+            # Reads vals *after* earlier chunks' writes: immediate
+            # visibility.
+            changed, n_up = relax_edges(spec, vals, u, v, weights[edge_idx])
+            in_next[v[changed]] = True
+            edges_scanned += int(edge_idx.size)
+            updates += n_up
+        new_frontier = np.flatnonzero(in_next)
+        in_next[new_frontier] = False
+        if san_runtime._enabled:
             san_probes.check_async_no_lost_updates(
                 work, spec, weights, frontier, round_start, vals,
                 "engine.async",
             )
-            san_probes.check_frontier(new_frontier, n, "engine.async")
-        if stats is not None:
-            stats.record(IterationInfo(
-                index=iteration,
-                frontier_size=int(frontier.size),
-                edges_scanned=edges_scanned,
-                updates=updates,
-                activated=int(new_frontier.size),
-            ))
-        frontier = new_frontier
-        iteration += 1
-        if checkpointer is not None:
-            checkpointer.maybe_save(iteration, vals=vals, frontier=frontier)
+        return Round(new_frontier, edges_scanned, updates)
+
+    record_rounds(drive(
+        "async", work, vals, frontier, step, budget=budget,
+        checkpointer=checkpointer, start_iteration=iteration,
+    ), stats)
     return vals

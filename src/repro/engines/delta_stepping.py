@@ -18,14 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from repro.engines.stats import IterationInfo, RunStats
-from repro.graph.csr import Graph
-from repro.obs import journal as obs_journal
-from repro.obs import metrics as obs_metrics
 from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
+from repro.engines.frontier import (
+    dedup, emit_round, ragged_gather, relax_edges,
+)
+from repro.engines.stats import IterationInfo, RunStats
+from repro.graph.csr import Graph
 from repro.obs import runtime as obs_runtime
-from repro.obs import spans as obs_spans
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import Checkpoint, Checkpointer
@@ -49,7 +49,9 @@ def delta_stepping(
     ``delta=None`` picks the mean edge weight (a common default).
     ``budget`` is enforced per relaxation round; checkpoints are written at
     bucket boundaries (tentative distances + bucket assignment), which is
-    the engine's natural consistent cut.
+    the engine's natural consistent cut. Each relaxation round is reported
+    like any engine round; its ``redundant`` count is the improvements of
+    a distance that had already improved before (re-settled work).
     """
     if spec.name not in _SUPPORTED:
         raise ValueError(
@@ -74,27 +76,49 @@ def delta_stepping(
         round_idx = int(resume.meta.get("round_idx", 0))
         buckets_done = resume.iteration
     else:
-        dist = np.full(n, np.inf)
-        dist[int(source)] = 0.0
+        dist = spec.initial_values(n, source)
         bucket_of = np.full(n, -1, dtype=np.int64)
         bucket_of[source] = 0
         current = 0
         round_idx = 0
         buckets_done = 0
+    mark = np.zeros(n, dtype=bool)
     # Re-improving a previously-settled tentative distance means the prior
     # relaxation was redundant; the mask is only kept while telemetry is on.
     ever_improved = np.zeros(n, dtype=bool) if obs_runtime._enabled else None
-    relaxations = redundant = 0
 
-    def _account(improved: np.ndarray) -> int:
-        nonlocal relaxations, redundant
-        if ever_improved is None:
-            return 0
-        again = int(np.count_nonzero(ever_improved[improved]))
-        ever_improved[improved] = True
-        relaxations += int(improved.size)
-        redundant += again
-        return again
+    def relax_round(
+        vertices: np.ndarray, heavy: bool
+    ) -> Optional[np.ndarray]:
+        """Relax the light (or heavy) out-edges of ``vertices``; returns
+        the distinct vertices whose distance improved, or None (and no
+        round) when ``vertices`` have no out-edges at all."""
+        nonlocal round_idx
+        edge_idx, u = ragged_gather(g.offsets, vertices)
+        if edge_idx.size == 0:
+            return None
+        sel = light[edge_idx] != heavy
+        v = g.dst[edge_idx[sel]]
+        changed, _ = relax_edges(
+            spec, dist, u[sel], v, weights[edge_idx[sel]]
+        )
+        improved = dedup(v[changed], mark)
+        again = 0
+        if ever_improved is not None:
+            again = int(np.count_nonzero(ever_improved[improved]))
+            ever_improved[improved] = True
+        bucket_of[improved] = (dist[improved] // delta).astype(np.int64)
+        info = IterationInfo(
+            index=round_idx, frontier_size=int(vertices.size),
+            edges_scanned=int(edge_idx.size), updates=int(improved.size),
+            activated=int(improved.size), redundant=again,
+        )
+        if stats is not None:
+            stats.record(info)
+        if obs_runtime._enabled:
+            emit_round(info, "delta_stepping")
+        round_idx += 1
+        return improved
 
     if san_runtime._enabled:
         san_probes.check_csr(g, "engine.delta_stepping")
@@ -118,45 +142,15 @@ def delta_stepping(
                 )
             settled_this_bucket[frontier] = True
             bucket_of[frontier] = -1
-            edge_idx, u = _gather(g, frontier)
-            if edge_idx.size == 0:
+            improved = relax_round(frontier, heavy=False)
+            if improved is None:
                 break
-            sel = light[edge_idx]
-            v = g.dst[edge_idx[sel]]
-            cand = dist[u[sel]] + weights[edge_idx[sel]]
-            improved = _relax(dist, v, cand)
-            again = _account(improved)
-            _rebucket(bucket_of, dist, improved, delta)
-            if stats is not None:
-                stats.record(IterationInfo(
-                    index=round_idx, frontier_size=int(frontier.size),
-                    edges_scanned=int(edge_idx.size),
-                    updates=int(improved.size),
-                    activated=int(improved.size),
-                    redundant=again,
-                ))
-            round_idx += 1
             frontier = improved[bucket_of[improved] == current]
         # Phase 2: heavy edges of everything settled in this bucket, once.
         settled = np.flatnonzero(settled_this_bucket)
         if budget is not None:
             budget.tick("engine.delta_stepping", frontier_bytes=settled.nbytes)
-        edge_idx, u = _gather(g, settled)
-        if edge_idx.size:
-            sel = ~light[edge_idx]
-            v = g.dst[edge_idx[sel]]
-            cand = dist[u[sel]] + weights[edge_idx[sel]]
-            improved = _relax(dist, v, cand)
-            again = _account(improved)
-            _rebucket(bucket_of, dist, improved, delta)
-            if stats is not None:
-                stats.record(IterationInfo(
-                    index=round_idx, frontier_size=int(settled.size),
-                    edges_scanned=int(edge_idx.size),
-                    updates=int(improved.size), activated=int(improved.size),
-                    redundant=again,
-                ))
-            round_idx += 1
+        relax_round(settled, heavy=True)
         current += 1
         buckets_done += 1
         if checkpointer is not None:
@@ -168,52 +162,4 @@ def delta_stepping(
             checkpointer.maybe_save(
                 buckets_done, dist=dist, bucket_of=bucket_of
             )
-    if obs_runtime._enabled:
-        phase = obs_spans.current_span_name()
-        obs_metrics.counter(
-            "engine.delta_stepping.relaxations", phase=phase
-        ).inc(relaxations)
-        obs_metrics.counter(
-            "engine.delta_stepping.redundant_relaxations", phase=phase
-        ).inc(redundant)
-        obs_journal.emit(
-            {
-                "type": "event",
-                "name": "delta_stepping.run",
-                "engine": "delta_stepping",
-                "phase": phase,
-                "query": spec.name,
-                "rounds": round_idx,
-                "relaxations": relaxations,
-                "redundant": redundant,
-            }
-        )
     return dist
-
-
-def _gather(g: Graph, vertices: np.ndarray):
-    from repro.engines.frontier import ragged_gather
-
-    return ragged_gather(g.offsets, vertices)
-
-
-def _relax(dist: np.ndarray, v: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Apply min-relaxations; return the unique vertices that improved."""
-    if v.size == 0:
-        return np.empty(0, dtype=np.int64)
-    old = dist[v]
-    np.minimum.at(dist, v, cand)
-    if san_runtime._enabled and bool(np.any(dist[v] > old)):
-        san_runtime.report(
-            "monotone_watchdog", "engine.delta_stepping",
-            "a tentative distance increased during relaxation",
-        )
-    return np.unique(v[dist[v] < old])
-
-
-def _rebucket(
-    bucket_of: np.ndarray, dist: np.ndarray, improved: np.ndarray,
-    delta: float,
-) -> None:
-    if improved.size:
-        bucket_of[improved] = (dist[improved] // delta).astype(np.int64)

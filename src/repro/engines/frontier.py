@@ -1,23 +1,31 @@
-"""Vectorized synchronous frontier-push engine.
+"""The shared round machinery and the synchronous frontier-push engine.
 
-This is the workhorse evaluator used everywhere: core-graph identification
-(Algorithms 1 and 2 run queries with it), both phases of the 2Phase algorithm
-(Algorithm 3), and the Ligra/Subway/GridGraph system models (which re-drive
-the same per-iteration loop under their own cost accounting).
+Every evaluator is built from three layers that live here:
 
-Each round gathers the out-edges of the active frontier, computes candidate
-values with the query's ``⊕``, and applies them with a vectorized
-CASMIN/CASMAX (``np.minimum.at`` / ``np.maximum.at``). Vertices whose value
-improved form the next frontier; the optional ``first_visit`` rule
-additionally activates a vertex the first time *any* edge reaches it, which
-is the paper's ``FirstPhase2Visit`` guarantee for the completion phase.
+* :func:`relax_edges` — the one CASMIN/CASMAX step (Table 6): candidates
+  ``Val(u) ⊕ w`` reduced into ``vals`` with ``spec.reduce_at``
+  (``np.minimum.at`` / ``np.maximum.at``), plus the sanitizer's monotone
+  watchdog and the successful-update count;
+* :func:`push_round` — one synchronous round: gather the frontier's
+  out-edges, drop the in-edges of certified vertices (``blocked_dst``),
+  relax, apply the paper's ``FirstPhase2Visit`` rule, and dedup the next
+  frontier with a reused bitmap (:func:`dedup`);
+* :func:`drive` — the round loop: fault point, budget tick, frontier
+  probe, per-round telemetry and checkpoint around a schedule's step.
+
+An engine is then only its schedule: :func:`push_iterations` drives
+:func:`push_round` over the whole frontier; ``async_engine`` and ``pull``
+drive their own steps; delta-stepping and the system models call the
+kernel from their own loops and keep their own cost accounting.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Generator, Optional, Tuple
+from typing import (
+    Callable, Generator, Iterable, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -87,12 +95,104 @@ def ragged_gather(
     return edge_idx, u_per_edge
 
 
-def _emit_iteration(info: IterationInfo) -> None:
-    """Telemetry for one push round: labeled counters + a journal event.
+class Round(NamedTuple):
+    """What one schedule step did: the next frontier and its work counters."""
+
+    frontier: np.ndarray
+    edges_scanned: int
+    updates: int
+    edges_skipped: int = 0
+    redundant: int = 0
+
+
+def dedup(vertices: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``vertices`` via a reused all-False bitmap.
+
+    GBBS/Ligra's dense vertex subset: set the bits, read them back with
+    ``flatnonzero``, clear them. Same output as ``np.unique`` without the
+    sort; ``mark`` (one bool per vertex) is all False again on return.
+    """
+    mark[vertices] = True
+    out = np.flatnonzero(mark)
+    mark[out] = False
+    return out
+
+
+def relax_edges(
+    spec: QuerySpec,
+    vals: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+) -> Tuple[np.ndarray, int]:
+    """Relax edges ``u -> v`` (transformed weights ``w``) into ``vals``.
+
+    The one CASMIN/CASMAX step every engine and system model shares:
+    candidates ``vals[u] ⊕ w`` are reduced into ``vals[v]`` in place.
+    Returns ``(changed, updates)``: the per-edge mask of edges whose
+    destination value improved this call, and the number of candidates
+    that strictly improved on their destination's value before the call
+    (the successful-atomics count).
+    """
+    old = vals[v]
+    cand = spec.propagate(vals[u], w)
+    updates = int(np.count_nonzero(spec.better(cand, old)))
+    spec.reduce_at(vals, v, cand)
+    new = vals[v]
+    if san_runtime._enabled:
+        san_probes.monotone_watchdog(spec, old, new, "engine.relax_edges")
+    return spec.better(new, old), updates
+
+
+def push_round(
+    g: Graph,
+    spec: QuerySpec,
+    vals: np.ndarray,
+    frontier: np.ndarray,
+    weights: np.ndarray,
+    mark: np.ndarray,
+    *,
+    first_visit: bool = False,
+    visited: Optional[np.ndarray] = None,
+    blocked_dst: Optional[np.ndarray] = None,
+    count_redundant: bool = False,
+) -> Round:
+    """One synchronous push round from the sorted, distinct ``frontier``.
+
+    Gathers the frontier's out-edges, drops those into ``blocked_dst``,
+    relaxes the rest, and returns the next frontier: every improved
+    destination plus, under ``first_visit``, every destination reached for
+    the first time. ``count_redundant`` also counts the improving
+    candidates that lost the reduce to a better one for the same
+    destination (a second bitmap pass, so only telemetry asks for it).
+    """
+    edge_idx, u = ragged_gather(g.offsets, frontier)
+    v = g.dst[edge_idx]
+    skipped = 0
+    if blocked_dst is not None and edge_idx.size:
+        keep = ~blocked_dst[v]
+        skipped = int(edge_idx.size - np.count_nonzero(keep))
+        edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
+    changed, updates = relax_edges(spec, vals, u, v, weights[edge_idx])
+    redundant = 0
+    if count_redundant and updates:
+        redundant = updates - int(dedup(v[changed], mark).size)
+    if first_visit:
+        fresh = ~visited[v]
+        visited[v[fresh]] = True
+        changed |= fresh
+    return Round(
+        dedup(v[changed], mark), int(edge_idx.size), updates, skipped,
+        redundant,
+    )
+
+
+def emit_round(info: IterationInfo, engine: str) -> None:
+    """Telemetry for one round of any engine: counters + a journal line.
 
     The phase label is the innermost open span (``twophase.core``,
     ``cg.hub_query``, ...), so the same engine loop is attributed to
-    whichever caller is driving it.
+    whichever caller is driving it; the journal line names the engine.
     """
     phase = obs_spans.current_span_name()
     obs_metrics.counter("engine.iterations", phase=phase).inc()
@@ -112,7 +212,7 @@ def _emit_iteration(info: IterationInfo) -> None:
     obs_journal.emit(
         {
             "type": "iteration",
-            "engine": "frontier",
+            "engine": engine,
             "phase": phase,
             "iteration": info.index,
             "frontier": info.frontier_size,
@@ -123,6 +223,93 @@ def _emit_iteration(info: IterationInfo) -> None:
             "redundant": info.redundant,
         }
     )
+
+
+#: Fault-injection site at each driven engine's round boundary.
+FAULT_SITES = {
+    "frontier": "engine.frontier.iteration",
+    "async": "engine.async.round",
+    "pull": "engine.pull.round",
+}
+
+
+def drive(
+    engine: str,
+    g: Graph,
+    vals: np.ndarray,
+    frontier: np.ndarray,
+    step: Callable[[np.ndarray], Round],
+    *,
+    visited: Optional[np.ndarray] = None,
+    max_iterations: Optional[int] = None,
+    keep_frontier: bool = False,
+    budget: Optional[Budget] = None,
+    checkpointer: Optional[Checkpointer] = None,
+    start_iteration: int = 0,
+) -> Generator[IterationInfo, None, None]:
+    """The round loop of every frontier engine; ``step`` is its schedule.
+
+    ``step(frontier)`` advances ``vals`` by one round and returns a
+    :class:`Round`. Everything around it lives here: the fault point
+    (:data:`FAULT_SITES`), the budget tick and the sanitizer's frontier
+    probe (site ``engine.<engine>``), the per-round telemetry, and the
+    checkpoint of ``(vals, next frontier, visited)`` that restarts the
+    next round. Yields one :class:`IterationInfo` per round.
+    """
+    site = f"engine.{engine}"
+    n = g.num_vertices
+    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+    if san_runtime._enabled:
+        san_probes.check_csr(g, site)
+        san_probes.check_frontier(frontier, n, site)
+    iteration = start_iteration
+    while frontier.size:
+        fault_point(FAULT_SITES[engine])
+        if budget is not None:
+            budget.tick(site, frontier_bytes=frontier.nbytes)
+        nxt = step(frontier)
+        if san_runtime._enabled:
+            san_probes.check_frontier(nxt.frontier, n, site)
+        info = IterationInfo(
+            index=iteration,
+            frontier_size=int(frontier.size),
+            edges_scanned=nxt.edges_scanned,
+            updates=nxt.updates,
+            activated=int(nxt.frontier.size),
+            frontier=frontier if keep_frontier else None,
+            edges_skipped=nxt.edges_skipped,
+            redundant=nxt.redundant,
+        )
+        if obs_runtime._enabled:
+            emit_round(info, engine)
+        if checkpointer is not None:
+            checkpointer.maybe_save(
+                iteration + 1, vals=vals, frontier=nxt.frontier,
+                visited=visited,
+            )
+        yield info
+        frontier = nxt.frontier
+        iteration += 1
+        if (
+            max_iterations is not None
+            and iteration - start_iteration >= max_iterations
+        ):
+            return
+
+
+def record_rounds(
+    rounds: Iterable[IterationInfo],
+    stats: Optional[RunStats],
+    keep_frontier: bool = False,
+) -> None:
+    """Run ``rounds`` to the end, accumulating them (and wall time) in
+    ``stats``."""
+    start = time.perf_counter()
+    for info in rounds:
+        if stats is not None:
+            stats.record(info, keep_frontier=keep_frontier)
+    if stats is not None:
+        stats.wall_time += time.perf_counter() - start
 
 
 def push_iterations(
@@ -174,79 +361,23 @@ def push_iterations(
     """
     if weights is None:
         weights = spec.weight_transform(g.edge_weights())
-    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
     if first_visit and visited is None:
         raise ValueError("first_visit requires a visited array")
-    if san_runtime._enabled:
-        san_probes.check_csr(g, "engine.frontier")
-        san_probes.check_frontier(
-            frontier, g.num_vertices, "engine.frontier"
+    mark = np.zeros(g.num_vertices, dtype=bool)
+
+    def step(frontier: np.ndarray) -> Round:
+        return push_round(
+            g, spec, vals, frontier, weights, mark,
+            first_visit=first_visit, visited=visited,
+            blocked_dst=blocked_dst, count_redundant=obs_runtime._enabled,
         )
-    iteration = start_iteration
-    while frontier.size:
-        fault_point("engine.frontier.iteration")
-        if budget is not None:
-            budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
-        edge_idx, u = ragged_gather(g.offsets, frontier)
-        v = g.dst[edge_idx]
-        skipped = 0
-        if blocked_dst is not None and edge_idx.size:
-            keep = ~blocked_dst[v]
-            skipped = int(edge_idx.size - np.count_nonzero(keep))
-            edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
-        old_v = vals[v]
-        cand = spec.propagate(vals[u], weights[edge_idx])
-        improving = spec.better(cand, old_v)
-        updates = int(np.count_nonzero(improving))
-        # All but one improving candidate per destination lose the reduce
-        # race; counting the losers needs a unique() so it only runs traced.
-        redundant = 0
-        if obs_runtime._enabled and updates:
-            redundant = updates - int(np.unique(v[improving]).size)
-        spec.reduce_at(vals, v, cand)
-        if san_runtime._enabled:
-            san_probes.monotone_watchdog(
-                spec, old_v, vals[v], "engine.frontier"
-            )
-        changed = spec.better(vals[v], old_v)
-        if first_visit:
-            fresh = ~visited[v]
-            visited[v[fresh]] = True
-            activate = changed | fresh
-        else:
-            activate = changed
-        new_frontier = np.unique(v[activate])
-        if san_runtime._enabled:
-            san_probes.check_frontier(
-                new_frontier, g.num_vertices, "engine.frontier"
-            )
-        info = IterationInfo(
-            index=iteration,
-            frontier_size=int(frontier.size),
-            edges_scanned=int(edge_idx.size),
-            updates=updates,
-            activated=int(new_frontier.size),
-            frontier=frontier if keep_frontier else None,
-            edges_skipped=skipped,
-            redundant=redundant,
-        )
-        if obs_runtime._enabled:
-            _emit_iteration(info)
-        if checkpointer is not None:
-            # State to restart round ``iteration + 1``: the values after
-            # this round, the frontier it produced, and the visited mask.
-            checkpointer.maybe_save(
-                iteration + 1, vals=vals, frontier=new_frontier,
-                visited=visited,
-            )
-        yield info
-        frontier = new_frontier
-        iteration += 1
-        if (
-            max_iterations is not None
-            and iteration - start_iteration >= max_iterations
-        ):
-            return
+
+    yield from drive(
+        "frontier", g, vals, frontier, step, visited=visited,
+        max_iterations=max_iterations, keep_frontier=keep_frontier,
+        budget=budget, checkpointer=checkpointer,
+        start_iteration=start_iteration,
+    )
 
 
 def run_push(
@@ -258,12 +389,10 @@ def run_push(
     **kwargs,
 ) -> np.ndarray:
     """Run :func:`push_iterations` to convergence, accumulating ``stats``."""
-    start = time.perf_counter()
-    for info in push_iterations(g, spec, vals, frontier, **kwargs):
-        if stats is not None:
-            stats.record(info, keep_frontier=kwargs.get("keep_frontier", False))
-    if stats is not None:
-        stats.wall_time += time.perf_counter() - start
+    record_rounds(
+        push_iterations(g, spec, vals, frontier, **kwargs), stats,
+        keep_frontier=kwargs.get("keep_frontier", False),
+    )
     return vals
 
 

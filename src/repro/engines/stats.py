@@ -37,8 +37,10 @@ class IterationInfo:
     redundant:
         Improving relaxations whose written value was superseded by a
         better candidate for the same destination within the round (the
-        lost-CAS stand-in). Only populated while telemetry is enabled;
-        the counter costs a ``np.unique`` the hot path otherwise skips.
+        lost-CAS stand-in). Only populated while telemetry is enabled,
+        and only by the frontier engine (the counter costs a second dedup
+        pass the hot path otherwise skips); delta-stepping reports its
+        re-improved distances here instead.
     """
 
     index: int

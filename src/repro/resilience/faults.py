@@ -20,10 +20,11 @@ Faults come from two places:
   makes the fault *repeat*: it fires on every hit from that number on —
   what poisoned-request tests use to fail the same request twice.
 
-Known sites (grep for ``fault_point`` for ground truth):
+Known sites (grep for ``fault_point`` and
+``repro.engines.frontier.FAULT_SITES`` for ground truth):
 ``engine.frontier.iteration``, ``engine.scalar.pop``,
-``engine.delta_stepping.round``, ``engine.batch.round``,
-``engine.async.round``, ``engine.pull.round``, ``twophase.core.begin``,
+``engine.delta_stepping.round``, ``engine.async.round``,
+``engine.pull.round``, ``twophase.core.begin``,
 ``twophase.completion.begin``, ``checkpoint.save``, ``io.load``,
 ``artifacts.read``, ``journal.close``, ``serve.worker.request``,
 ``obs.live.profiler.sample``, ``obs.live.exporter.serve``,

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
-from repro.engines.frontier import push_iterations
+from repro.engines.frontier import push_iterations, relax_edges
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
@@ -230,7 +230,7 @@ class GridGraphSimulator:
             old_vals = vals.copy()
             touched = np.zeros(n, dtype=bool)
             part_active = np.zeros(P, dtype=bool)
-            part_active[np.unique(store.part_of[frontier])] = True
+            part_active[store.part_of[frontier]] = True
             blocks_loaded = 0
             edges_this_iter = 0
             updates_this_iter = 0
@@ -251,13 +251,13 @@ class GridGraphSimulator:
                     if not sel.any():
                         continue
                     dst_b = dst_all[sel]
-                    w_b = spec.weight_transform(w_raw[sel])
-                    cand = spec.propagate(vals[src_b[sel]], w_b)
-                    improving = spec.better(cand, vals[dst_b])
-                    updates_this_iter += int(np.count_nonzero(improving))
-                    spec.reduce_at(vals, dst_b, cand)
+                    _, updates = relax_edges(
+                        spec, vals, src_b[sel], dst_b,
+                        spec.weight_transform(w_raw[sel]),
+                    )
+                    updates_this_iter += updates
                     touched[dst_b] = True
-                    edges_this_iter += int(sel.sum())
+                    edges_this_iter += int(dst_b.size)
             changed = spec.better(vals, old_vals)
             if first_visit:
                 fresh = touched & ~visited

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
-from repro.engines.frontier import push_iterations, ragged_gather
+from repro.engines.frontier import push_iterations, push_round
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
@@ -100,48 +100,44 @@ class PregelSimulator:
         whose endpoints live on different workers cost network traffic."""
         p_cost = self.params
         weights = spec.weight_transform(work.edge_weights())
+        # Cross-worker out-edges per vertex, over the edges this phase
+        # pushes (blocked destinations receive nothing).
+        src = work.edge_sources()
+        remote_edge = self.worker_of[src] != self.worker_of[work.dst]
+        if blocked_dst is not None:
+            remote_edge &= ~blocked_dst[work.dst]
+        remote_deg = np.bincount(
+            src[remote_edge], minlength=work.num_vertices
+        )
+        mark = np.zeros(work.num_vertices, dtype=bool)
         frontier = np.unique(np.asarray(frontier, dtype=np.int64))
         superstep = 0
         while frontier.size:
-            edge_idx, u = ragged_gather(work.offsets, frontier)
-            v = work.dst[edge_idx]
-            if blocked_dst is not None and edge_idx.size:
-                keep = ~blocked_dst[v]
-                edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
-            remote = (
-                int(np.count_nonzero(self.worker_of[u] != self.worker_of[v]))
-                if edge_idx.size else 0
+            rnd = push_round(
+                work, spec, vals, frontier, weights, mark,
+                first_visit=first_visit, visited=visited,
+                blocked_dst=blocked_dst,
             )
-            old = vals[v]
-            cand = spec.propagate(vals[u], weights[edge_idx])
-            improving = spec.better(cand, old)
-            updates = int(np.count_nonzero(improving))
-            spec.reduce_at(vals, v, cand)
-            changed = spec.better(vals[v], old)
-            if first_visit:
-                fresh = ~visited[v]
-                visited[v[fresh]] = True
-                activate = changed | fresh
-            else:
-                activate = changed
-            new_frontier = np.unique(v[activate])
+            remote = int(remote_deg[frontier].sum())
             stats.record(IterationInfo(
                 index=superstep,
                 frontier_size=int(frontier.size),
-                edges_scanned=int(edge_idx.size),
-                updates=updates,
-                activated=int(new_frontier.size),
+                edges_scanned=rnd.edges_scanned,
+                updates=rnd.updates,
+                activated=int(rnd.frontier.size),
             ))
             report.counters["supersteps"] += 1
-            report.counters["messages"] += edge_idx.size
+            report.counters["messages"] += rnd.edges_scanned
             report.counters["network_messages"] += remote
-            report.counters["comp_edges"] += edge_idx.size
-            report.counters["edges_processed"] += edge_idx.size
-            report.counters["updates"] += updates
+            report.counters["comp_edges"] += rnd.edges_scanned
+            report.counters["edges_processed"] += rnd.edges_scanned
+            report.counters["updates"] += rnd.updates
             report.breakdown["network"] += remote * self.MESSAGE_COST
-            report.breakdown["comp"] += edge_idx.size / p_cost.cpu_edge_rate
+            report.breakdown["comp"] += (
+                rnd.edges_scanned / p_cost.cpu_edge_rate
+            )
             report.breakdown["barrier"] += self.BARRIER_COST
-            frontier = new_frontier
+            frontier = rnd.frontier
             superstep += 1
 
     # ------------------------------------------------------------------

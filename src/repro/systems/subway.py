@@ -22,8 +22,8 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
-from repro.engines.frontier import push_iterations
-from repro.engines.stats import RunStats
+from repro.engines.frontier import push_iterations, push_round
+from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.systems.common import (
@@ -164,14 +164,12 @@ class SubwaySimulator:
         on-device; only vertices activated outside the window wait for the
         next generation.
         """
-        from repro.engines.frontier import ragged_gather
-        from repro.engines.stats import IterationInfo
-
         generator = self._generator_for(work)
         weights = spec.weight_transform(work.edge_weights())
         n = work.num_vertices
         frontier = np.unique(np.asarray(frontier, dtype=np.int64))
         stats = RunStats()
+        mark = np.zeros(n, dtype=bool)
         window = 0
         while frontier.size:
             subgraph = generator.generate(frontier, blocked)
@@ -183,28 +181,16 @@ class SubwaySimulator:
             window_edges = 0
             window_updates = 0
             while local.size:
-                edge_idx, u = ragged_gather(work.offsets, local)
-                v = work.dst[edge_idx]
-                if blocked is not None and edge_idx.size:
-                    keep = ~blocked[v]
-                    edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
-                old = vals[v]
-                cand = spec.propagate(vals[u], weights[edge_idx])
-                improving = spec.better(cand, old)
-                window_updates += int(np.count_nonzero(improving))
-                spec.reduce_at(vals, v, cand)
-                changed = spec.better(vals[v], old)
-                if first_visit:
-                    fresh = ~visited[v]
-                    visited[v[fresh]] = True
-                    act = changed | fresh
-                else:
-                    act = changed
-                act_v = np.unique(v[act])
-                inside = in_window[act_v]
-                pending[act_v[~inside]] = True
-                local = act_v[inside]
-                window_edges += int(edge_idx.size)
+                rnd = push_round(
+                    work, spec, vals, local, weights, mark,
+                    first_visit=first_visit, visited=visited,
+                    blocked_dst=blocked,
+                )
+                inside = in_window[rnd.frontier]
+                pending[rnd.frontier[~inside]] = True
+                local = rnd.frontier[inside]
+                window_edges += rnd.edges_scanned
+                window_updates += rnd.updates
             next_frontier = np.flatnonzero(pending)
             info = IterationInfo(
                 index=window,

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
-from repro.engines.frontier import push_iterations
+from repro.engines.frontier import push_iterations, relax_edges
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
@@ -144,14 +144,14 @@ class WonderlandSimulator:
                     if not sel.any():
                         break
                     d = part_dst[sel]
-                    cand = spec.propagate(vals[part_src[sel]], part_w[sel])
-                    improving = spec.better(cand, vals[d])
-                    if not improving.any():
+                    _, updates = relax_edges(
+                        spec, vals, part_src[sel], d, part_w[sel]
+                    )
+                    if not updates:
                         break
-                    updates_this_pass += int(np.count_nonzero(improving))
-                    spec.reduce_at(vals, d, cand)
+                    updates_this_pass += updates
                     touched[d] = True
-                    edges_this_pass += int(sel.sum())
+                    edges_this_pass += int(d.size)
             changed = spec.better(vals, old_vals)
             if first_visit:
                 fresh = touched & ~visited

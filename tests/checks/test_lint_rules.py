@@ -52,6 +52,24 @@ def test_rc005_flags_each_name_kind():
     assert len(violations) == 3
 
 
+def test_kernel_loop_is_an_engine_loop():
+    # Engines reach ragged_gather only through the shared round kernel, so
+    # a loop over the kernel must need a Budget poll and a fault site too.
+    violations = lint_file(FIXTURES / "engines/rc001_rc010_kernel_loop.py")
+    assert {v.rule for v in violations} == {"RC001", "RC010"}
+
+
+def test_relax_edges_loop_is_an_engine_loop(tmp_path):
+    out = tmp_path / "src" / "repro" / "engines" / "relax_loop.py"
+    out.parent.mkdir(parents=True)
+    out.write_text(
+        "def f(spec, vals, u, v, w):\n"
+        "    while u.size:\n"
+        "        u = relax_edges(spec, vals, u, v, w)[0]\n"
+    )
+    assert {v.rule for v in lint_file(out)} == {"RC001", "RC010"}
+
+
 def test_rc008_flags_each_inconsistency():
     violations = lint_file(FIXTURES / "queries/rc008_bad_pick.py")
     assert len(violations) == 4  # bad MIN, bad MAX, bad unweighted, missing

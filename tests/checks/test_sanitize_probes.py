@@ -28,6 +28,10 @@ from repro.engines.scalar import scalar_evaluate
 from repro.queries.base import QuerySpec
 from repro.queries.registry import ALL_SPECS
 from repro.queries.specs import SSSP, SSWP
+from repro.systems.gridgraph import GridGraphSimulator
+from repro.systems.pregel import PregelSimulator
+from repro.systems.subway import SubwaySimulator
+from repro.systems.wonderland import WonderlandSimulator
 
 BY_NAME = {s.name: s for s in ALL_SPECS}
 
@@ -104,6 +108,24 @@ def test_watchdog_in_pull_engine():
     bad = mutate(SSSP, AssignReduce)
     with enabled(), pytest.raises(SanitizerViolation) as exc:
         direction_optimizing_evaluate(example_graph(), bad, source=0)
+    assert exc.value.probe == "monotone_watchdog"
+
+
+@pytest.mark.parametrize("make_sim", [
+    PregelSimulator,
+    lambda g: SubwaySimulator(g, mode="async"),
+    lambda g: GridGraphSimulator(g, p=2),
+    lambda g: WonderlandSimulator(g, num_partitions=2),
+], ids=["pregel", "subway-async", "gridgraph", "wonderland"])
+def test_watchdog_in_system_models(make_sim):
+    # The system models relax through the shared kernel, so its watchdog
+    # covers their own round loops too. A decaying propagate makes
+    # last-write-wins lower a value on every model's schedule.
+    bad = mutate(
+        BY_NAME["REACH"], AssignReduce, propagate=lambda val, w: 0.5 * val
+    )
+    with enabled(), pytest.raises(SanitizerViolation) as exc:
+        make_sim(example_graph()).baseline_run(bad, 0)
     assert exc.value.probe == "monotone_watchdog"
 
 

@@ -62,6 +62,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             delta_stepping(medium_graph, SSSP, 0, delta=0.0)
 
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["minus_one", "n"])
+    def test_rejects_out_of_range_source(self, medium_graph, offset):
+        # Neither may index the distance array: -1 would alias vertex n-1.
+        source = offset if offset < 0 else medium_graph.num_vertices
+        with pytest.raises(ValueError, match="out of range"):
+            delta_stepping(medium_graph, SSSP, source)
+
 
 @given(seed=st.integers(0, 2**31 - 1), source=st.integers(0, 13),
        delta=st.floats(0.25, 16.0))

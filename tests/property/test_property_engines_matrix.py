@@ -1,10 +1,10 @@
 """Property-based equivalence of all evaluation engines.
 
 The synchronous push engine, the chunked-asynchronous engine, the
-direction-optimizing push/pull engine, the batch engine, and the scalar
-worklist engine must converge to identical fixed points on arbitrary
-graphs — the strongest guardrail around the evaluation substrate that
-every experiment stands on.
+direction-optimizing push/pull engine, and the scalar worklist engine
+must converge to identical fixed points on arbitrary graphs — the
+strongest guardrail around the evaluation substrate that every
+experiment stands on.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engines.async_engine import async_evaluate
-from repro.engines.batch import evaluate_batch
 from repro.engines.frontier import evaluate_query
 from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.scalar import scalar_evaluate
@@ -48,17 +47,7 @@ def test_all_engines_agree(spec, data):
     for result in (
         async_evaluate(g, spec, source, chunk_size=chunk),
         direction_optimizing_evaluate(g, spec, source),
-        evaluate_batch(g, spec, [source])[0],
         scalar_evaluate(g, spec, source),
     ):
         assert np.allclose(_norm(result), _norm(sync), rtol=1e-9)
 
-
-@given(data=graph_and_source())
-@settings(max_examples=25, deadline=None)
-def test_batch_of_many_sources(data):
-    g, source, _ = data
-    sources = list({source, 0, g.num_vertices - 1})
-    batch = evaluate_batch(g, SSSP, sources)
-    for i, s in enumerate(sources):
-        assert np.array_equal(batch[i], evaluate_query(g, SSSP, s))

@@ -8,7 +8,6 @@ import pytest
 from repro.core.dispatch import build_cg
 from repro.core.twophase import two_phase
 from repro.engines.async_engine import async_evaluate
-from repro.engines.batch import evaluate_batch
 from repro.engines.delta_stepping import delta_stepping
 from repro.engines.frontier import evaluate_query, run_push
 from repro.engines.scalar import scalar_evaluate
@@ -94,12 +93,6 @@ class TestEnginesEnforceBudget:
             delta_stepping(medium_graph, SSSP, 0,
                            budget=Budget(max_iterations=2))
         assert exc_info.value.site == "engine.delta_stepping"
-
-    def test_batch(self, medium_graph):
-        with pytest.raises(BudgetExceeded) as exc_info:
-            evaluate_batch(medium_graph, SSSP, [0, 1, 2],
-                           budget=Budget(max_iterations=2))
-        assert exc_info.value.site == "engine.batch"
 
     def test_async(self, medium_graph):
         with pytest.raises(BudgetExceeded) as exc_info:

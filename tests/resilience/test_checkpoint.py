@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.engines.async_engine import async_evaluate
-from repro.engines.batch import evaluate_batch
 from repro.engines.delta_stepping import delta_stepping
 from repro.engines.frontier import evaluate_query, run_push
 from repro.engines.scalar import scalar_evaluate
@@ -125,26 +124,6 @@ class TestEngineRoundTrips:
         )
         resumed = delta_stepping(medium_graph, SSSP, 0, delta=0.25, resume=ck)
         assert np.array_equal(resumed, truth)
-
-    def test_batch(self, tmp_path, medium_graph):
-        sources = [0, 3, 7]
-        truth = evaluate_batch(medium_graph, SSSP, sources)
-        ck = _crash_then_load(
-            tmp_path, "engine.batch.round", 3,
-            lambda c: evaluate_batch(medium_graph, SSSP, sources,
-                                     checkpointer=c),
-        )
-        resumed = evaluate_batch(medium_graph, SSSP, sources, resume=ck)
-        assert np.array_equal(resumed, truth)
-
-    def test_batch_resume_validates_shape(self, tmp_path, medium_graph):
-        ck = _crash_then_load(
-            tmp_path, "engine.batch.round", 3,
-            lambda c: evaluate_batch(medium_graph, SSSP, [0, 3, 7],
-                                     checkpointer=c),
-        )
-        with pytest.raises(ValueError, match="does not match"):
-            evaluate_batch(medium_graph, SSSP, [0, 3], resume=ck)
 
     def test_async(self, tmp_path, medium_graph):
         truth = async_evaluate(medium_graph, SSSP, 0, chunk_size=32)
